@@ -2,22 +2,26 @@
 
 A single mechanical mode couples to two driven cavity modes (branches b and
 c). Linearizing the quantum Langevin equations around the classical steady
-state gives a 6x6 drift matrix over (q, p, x_b, y_b, x_c, y_c). The
-stationary covariance matrix of (mechanical mode, filtered b output,
-filtered c output) is a frequency integral over the noise spectra, with
-causal single-pole filters of time tau_k centered at Omega_k selecting one
-temporal output mode per branch.
+state gives a 6x6 drift matrix over (q, p, x_b, y_b, x_c, y_c). Causal
+single-pole filters of time tau_k centered at Omega_k select one temporal
+output mode per branch. The stationary covariance matrix of (mechanical
+mode, filtered b output, filtered c output) comes from the Lyapunov
+equation of the drift extended by the filter modes (output_cm); the
+frequency integral over the noise spectra is kept as an independent
+oracle (spectral_output_cm).
 
 All public operations take SI inputs (rad/s, seconds, kelvin, watts);
-internally everything is scaled by the mechanical frequency before the
-integration for conditioning.
+internally everything is scaled by the mechanical frequency for
+conditioning.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
+from scipy.integrate import quad, quad_vec
+from scipy.linalg import solve_continuous_lyapunov
 
 from .protocol import TripartiteCM
 
@@ -31,6 +35,14 @@ DEFAULT_ATOL = 1e-12
 # transform-convention regression guard: the complex integrand must satisfy
 # f(-w) = conj(f(w)); the residue is checked against this bound
 IMAG_RESIDUE_TOL = 1e-10
+
+# largest theta = hbar omega_m / kB T times the fastest scaled rate of the
+# system at which output_cm uses its closed-form Brownian correction; above
+# it output_cm evaluates the spectral quadrature instead. At this value the
+# closed form stayed within 8e-10 relative of an exactly windowed reference
+# over random parameters with Q_m from 1.05 to 1e7, and its error grows as
+# the cube of theta. The shipped example grids reach 0.0036.
+CLOSED_FORM_MAX_THETA_RATE = 0.01
 
 
 class StabilityError(RuntimeError):
@@ -198,7 +210,7 @@ def _x_coth(x: float, theta: float) -> float:
     a = 0.5 * theta * x
     if abs(a) < 1e-4:
         return (2.0 / theta) * (1.0 + a * a / 3.0)
-    return x / np.tanh(a)
+    return x / math.tanh(a)
 
 
 def diffusion_matrix(omega: float, params: OptomechParams) -> np.ndarray:
@@ -256,10 +268,142 @@ def default_window(params: OptomechParams) -> float:
     return max(50.0, 20.0 * rates + detunings, 3.2 / theta)
 
 
+def _stable_model(params: OptomechParams) -> LinearizedModel:
+    """steady_state, raising StabilityError for an unstable drift matrix."""
+    model = steady_state(params)
+    if not model.stable:
+        _, absc = check_stability(model.K)
+        raise StabilityError(
+            f"drift matrix unstable: spectral abscissa {absc:.6e} rad/s")
+    return model
+
+
+def _fastest_rate(params: OptomechParams, model: LinearizedModel) -> float:
+    """Largest rate or frequency of the cavities, couplings and filters in
+    units of omega_m, at least 1 (the mechanical frequency itself)."""
+    rates = (params.kappa_b, params.kappa_c, 1.0 / params.tau_b,
+             1.0 / params.tau_c, abs(params.Delta_b), abs(params.Delta_c),
+             abs(params.Omega_b), abs(params.Omega_c), model.G_b, model.G_c)
+    return max(1.0, max(rates) / params.omega_m)
+
+
 def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
               atol: float = DEFAULT_ATOL, window: float | None = None,
               quad_limit: int | None = None) -> TripartiteCM:
     """Stationary CM of (mechanical, filtered b output, filtered c output).
+
+    Each causal filter is itself a linear mode driven by its branch's
+    output field, so the six system quadratures plus the two filter
+    quadrature pairs form a 10-mode linear system (units of omega_m)
+
+        d/dt (x, f) = A (x, f) + B noise,   A = [[K, 0], [C, R]],
+
+    whose stationary CM solves A V + V A^T + B D B^T = 0. The solve runs on
+    U = V - V_vac, with the exact vacuum 1/2 of every optical and filter
+    quadrature taken out: the optical noise cancels against it
+    analytically, so undriven outputs come out as exact vacuum.
+
+    The Brownian spectrum gamma w coth(theta w / 2) is not white. Its
+    excess over the white level gamma coth(theta / 2) is
+    (gamma theta / 6)(w^2 - 1) wherever the system responds, and a w^2
+    noise spectrum is itself a Lyapunov source, so the excess rides in the
+    same solve. That form needs theta times the system's fastest rate to be
+    small (kB T well above hbar times it); above
+    CLOSED_FORM_MAX_THETA_RATE, output_cm returns spectral_output_cm
+    instead, so the closed form is never used outside its range.
+
+    The momentum variance alone keeps a weak dependence on the far tail;
+    it gets the scalar integral of the exact excess against the asymptotic
+    response 1/(1 + w^2) out to the window. The spectral integral stops at
+    the window, so the parts of the solve beyond it are taken out in
+    closed form from the response's high-frequency expansion, and the
+    result matches spectral_output_cm.
+
+    window is the half-width in units of omega_m (defaults to
+    default_window); rtol, atol and quad_limit control that scalar
+    integral, or the spectral quadrature above the closed form's range.
+
+    Raises StabilityError for an unstable drift matrix and
+    QuadratureConvergenceError when the scalar integral (or, above the
+    closed form's range, the spectral quadrature) misses its target.
+    """
+    model = _stable_model(params)
+    w_m = params.omega_m
+    theta = HBAR * w_m / (KB * params.T)
+    if theta * _fastest_rate(params, model) > CLOSED_FORM_MAX_THETA_RATE:
+        return _spectral_cm(params, model, rtol, atol, window, quad_limit)
+    gam = 1.0 / params.Q_m
+    coth0 = 1.0 / math.tanh(0.5 * theta)
+    half_width = float(window) if window is not None else default_window(params)
+
+    # (q, p, x_b, y_b, x_c, y_c, f_b, f_c); each filter pair obeys
+    # df/dt = R f + sqrt(2/tau) a_out with a_out = sqrt(2 kappa) a - a_in
+    a = np.zeros((10, 10))
+    a[:6, :6] = model.K / w_m
+    for k, branch in enumerate("bc"):
+        _, _, kappa, _, center, tau = params.branch(branch)
+        kappa, center, tau = kappa / w_m, center / w_m, tau * w_m
+        cav = slice(2 + 2 * k, 4 + 2 * k)
+        filt = slice(6 + 2 * k, 8 + 2 * k)
+        a[filt, filt] = [[-1.0 / tau, center], [-center, -1.0 / tau]]
+        a[filt, cav] = np.sqrt(2.0 / tau) * np.sqrt(2.0 * kappa) * np.eye(2)
+
+    # source of the vacuum-shifted solve: white Brownian noise plus the
+    # mechanics-cavity terms of A V_vac + V_vac A^T that the optical
+    # noise leaves over
+    s = np.zeros((10, 10))
+    s[1, 1] = gam * coth0
+    s[0:2, 2:6] = 0.5 * a[0:2, 2:6]
+    s[2:6, 0:2] = s[0:2, 2:6].T
+    # Brownian excess (gam theta / 6)(w^2 - 1) on p: with the response
+    # m = (iw - A)^-1 e_p, iw m = e_p + A m turns the w^2 part into the
+    # source -(A^2 e_p e_p^T + e_p e_p^T A^2T) / 2 plus a divergent
+    # e_p e_p^T integral, which the momentum correction below replaces
+    curvature = gam * theta / 6.0
+    a2_p = a @ a[:, 1]
+    s[:, 1] -= 0.5 * curvature * a2_p
+    s[1, :] -= 0.5 * curvature * a2_p
+    s[1, 1] -= curvature
+    u = solve_continuous_lyapunov(a, -s)
+
+    def excess(w: float) -> float:
+        return gam * (_x_coth(w, theta) - coth0) / (1.0 + w * w) / math.pi
+
+    kwargs = {}
+    if quad_limit is not None:
+        kwargs["limit"] = quad_limit
+    windowed, err, *_ = quad(excess, 0.0, half_width, epsrel=rtol,
+                             epsabs=atol, full_output=1, **kwargs)
+    target = max(atol, rtol * abs(windowed))
+    if err > 10.0 * target:
+        raise QuadratureConvergenceError(
+            f"achieved error estimate {err:.3e} exceeds target {target:.3e}")
+
+    # momentum variance: the quadratic excess against
+    # |m_p|^2 - 1/(1 + w^2) is the solve's part plus curvature; windowed
+    # is the exact excess against 1/(1 + w^2)
+    u[1, 1] += curvature + windowed
+    # the spectral integral stops at the window. Beyond it
+    # Re(m m^H) = e_pp / w^2 + n4 / w^4 + O(w^-6), so the white level and
+    # the quadratic excess that the solve holds there are taken out
+    e_pp = np.zeros((10, 10))
+    e_pp[1, 1] = 1.0
+    a_p = a[:, 1]
+    n4 = np.outer(a_p, a_p) - np.outer(e_pp[1], a2_p) - np.outer(a2_p, e_pp[1])
+    u -= (gam * coth0 * (e_pp / half_width + n4 / (3.0 * half_width ** 3))
+          + curvature * (n4 + e_pp) / half_width) / math.pi
+
+    keep = [0, 1, 6, 7, 8, 9]
+    cm = u[np.ix_(keep, keep)]
+    cm[2:, 2:] += 0.5 * np.eye(4)
+    return TripartiteCM.from_matrix(0.5 * (cm + cm.T))
+
+
+def spectral_output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
+                       atol: float = DEFAULT_ATOL,
+                       window: float | None = None,
+                       quad_limit: int | None = None) -> TripartiteCM:
+    """Spectral-quadrature oracle for output_cm (same signature and result).
 
     Integrates the noise-spectrum matrix against the filter transfer blocks
     over a symmetric frequency window. The flat optical floor (which alone
@@ -274,12 +418,13 @@ def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
     QuadratureConvergenceError when the integral cannot reach its target or
     the integrand breaks its conjugate symmetry (transform-convention guard).
     """
-    model = steady_state(params)
-    if not model.stable:
-        _, absc = check_stability(model.K)
-        raise StabilityError(
-            f"drift matrix unstable: spectral abscissa {absc:.6e} rad/s")
+    return _spectral_cm(params, _stable_model(params), rtol, atol, window,
+                        quad_limit)
 
+
+def _spectral_cm(params: OptomechParams, model: LinearizedModel, rtol: float,
+                 atol: float, window: float | None,
+                 quad_limit: int | None) -> TripartiteCM:
     w_m = params.omega_m
     k = model.K / w_m
     kb = params.kappa_b / w_m

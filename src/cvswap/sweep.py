@@ -22,7 +22,7 @@ import numpy as np
 from . import optomech
 from .gaussian import StateValidationError, write_matrix
 from .optomech import (OptomechParams, QuadratureConvergenceError,
-                       StabilityError, output_cm, steady_state)
+                       StabilityError, output_cm)
 from .protocol import (ProtocolClass, SingularBellBlockError, chi,
                        classify_from_purities, conditional_output_cm,
                        optimal_gains, purities_triplet)
@@ -166,21 +166,21 @@ def run_point(params: OptomechParams, rtol: float = optomech.DEFAULT_RTOL,
               axis_names: tuple = (), axis_values: tuple = ()) -> SweepRecord:
     """Evaluate the full pipeline at one parameter point.
 
-    Never raises for physics-level failures: an unstable drift matrix or a
-    non-converged integral yields a flagged record instead, so a sweep
-    survives bad corners of its grid.
+    Never raises for physics-level failures: an unstable drift matrix, a
+    non-converged integral, an unphysical state or a singular Bell block
+    yields a flagged record instead, so a sweep survives bad corners of its
+    grid. Any other error propagates.
     """
-    model = steady_state(params)
-    if not model.stable:
-        return _flagged_record(axis_names, axis_values, stable=False)
     try:
         cm = output_cm(params, rtol=rtol)
         mu_b, mu_rb, mu_bc = purities_triplet(cm)
         klass = classify_from_purities(mu_b, mu_rb, mu_bc)
         ratio = chi(cm)
         swap = conditional_output_cm(cm, cm)
-    except (StabilityError, QuadratureConvergenceError, StateValidationError,
-            SingularBellBlockError, ValueError, np.linalg.LinAlgError):
+    except StabilityError:
+        return _flagged_record(axis_names, axis_values, stable=False)
+    except (QuadratureConvergenceError, StateValidationError,
+            SingularBellBlockError):
         return _flagged_record(axis_names, axis_values, stable=True)
     return SweepRecord(axis_names=tuple(axis_names),
                        axis_values=tuple(axis_values), stable=True,

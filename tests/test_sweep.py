@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cvswap import sweep
 from cvswap.gaussian import read_matrix, validate_state
 from cvswap.protocol import (ProtocolClass, TripartiteCM,
                              classify_from_purities, conditional_output_cm,
@@ -158,6 +159,16 @@ def test_run_point_unstable_is_flagged_not_raised():
     assert rec.flagged
     assert math.isnan(rec.E_N_RRE)
     assert rec.protocol_class is ProtocolClass.NoSwapping
+
+
+def test_run_point_propagates_programming_errors(monkeypatch):
+    # only the package's physics-level errors become flagged rows
+    def broken(cm):
+        raise ValueError("bug in a protocol helper")
+
+    monkeypatch.setattr(sweep, "chi", broken)
+    with pytest.raises(ValueError, match="bug in a protocol helper"):
+        run_point(BASE)
 
 
 def test_run_point_operating_point():
