@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
-from scipy.linalg import solve_continuous_lyapunov
 
 from .protocol import TripartiteCM
 
@@ -241,15 +239,11 @@ def filter_transfer(omega: float, params: OptomechParams,
     so the block is complex at real frequencies.
     """
     _, _, kappa, _, center, tau = params.branch(branch)
-    return np.sqrt(2.0 * kappa) * _filter_block(omega, tau, center)
-
-
-def _filter_block(omega: float, tau: float, center: float) -> np.ndarray:
     h_here = filter_fourier(omega, tau, center)
     h_conj = np.conj(filter_fourier(-omega, tau, center))
     hp = 0.5 * (h_here + h_conj)
     hm = (h_here - h_conj) / 2j
-    return np.array([[hp, -hm], [hm, hp]])
+    return np.sqrt(2.0 * kappa) * np.array([[hp, -hm], [hm, hp]])
 
 
 def default_window(params: OptomechParams) -> float:
@@ -327,6 +321,10 @@ def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
     QuadratureConvergenceError when the scalar integral (or, above the
     closed form's range, the spectral quadrature) misses its target.
     """
+    # scipy loads here, not at import, so the protocol layer runs without it
+    from scipy.integrate import quad
+    from scipy.linalg import solve_continuous_lyapunov
+
     model = _stable_model(params)
     w_m = params.omega_m
     theta = HBAR * w_m / (KB * params.T)
@@ -425,16 +423,13 @@ def spectral_output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
 def _spectral_cm(params: OptomechParams, model: LinearizedModel, rtol: float,
                  atol: float, window: float | None,
                  quad_limit: int | None) -> TripartiteCM:
+    # scipy loads here, not at import, so the protocol layer runs without it
+    from scipy.integrate import quad_vec
+
     w_m = params.omega_m
     k = model.K / w_m
     kb = params.kappa_b / w_m
     kc = params.kappa_c / w_m
-    tau_b = params.tau_b * w_m
-    tau_c = params.tau_c * w_m
-    om_b = params.Omega_b / w_m
-    om_c = params.Omega_c / w_m
-    gam = 1.0 / params.Q_m
-    theta = HBAR * w_m / (KB * params.T)
     half_width = float(window) if window is not None else default_window(params)
 
     p_floor = np.diag([0.0, 0.0, 0.5 / kb, 0.5 / kb, 0.5 / kc, 0.5 / kc])
@@ -442,13 +437,13 @@ def _spectral_cm(params: OptomechParams, model: LinearizedModel, rtol: float,
 
     def spectrum(w: float) -> np.ndarray:
         resolvent = np.linalg.inv(1j * w * eye6 + k)
-        q = np.diag([0.0, gam * _x_coth(w, theta), kb, kb, kc, kc])
+        q = diffusion_matrix(w * w_m, params) / w_m
         x = resolvent + p_floor
         core = x @ q @ x.conj().T - p_floor @ q @ p_floor
         t = np.zeros((6, 6), dtype=complex)
         t[0:2, 0:2] = np.eye(2)
-        t[2:4, 2:4] = np.sqrt(2.0 * kb) * _filter_block(w, tau_b, om_b)
-        t[4:6, 4:6] = np.sqrt(2.0 * kc) * _filter_block(w, tau_c, om_c)
+        t[2:4, 2:4] = filter_transfer(w * w_m, params, "b")
+        t[4:6, 4:6] = filter_transfer(w * w_m, params, "c")
         return t @ core @ t.conj().T
 
     # the full-line integrand pairs (w, -w) into conjugates, so the value is
@@ -468,7 +463,8 @@ def _spectral_cm(params: OptomechParams, model: LinearizedModel, rtol: float,
     def integrand(w: float) -> np.ndarray:
         return np.real(spectrum(w)) / np.pi
 
-    breakpoints = sorted({1.0, abs(om_b), abs(om_c),
+    breakpoints = sorted({1.0, abs(params.Omega_b / w_m),
+                          abs(params.Omega_c / w_m),
                           abs(params.Delta_b / w_m),
                           abs(params.Delta_c / w_m)} - {0.0})
     kwargs = {}

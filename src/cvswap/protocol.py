@@ -15,7 +15,7 @@ after the swap is (a1, a2, c1, c2) everywhere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,20 @@ STANDARD_FORM_TOL = 1e-9
 # strict-inequality slack for the purity classifier (relative)
 CLASSIFY_REL_TOL = 1e-9
 
+# quadratures of the a, b and c modes, and the rows and columns of each
+# upper block of the 6x6
+_A, _B, _C = slice(0, 2), slice(2, 4), slice(4, 6)
+_BLOCK_SLICES = {"R": (_A, _A), "D": (_A, _B), "F": (_A, _C),
+                 "B": (_B, _B), "E": (_B, _C), "C": (_C, _C)}
+
+# quadratures of a site's remote and certifying modes, their rows in the
+# internal (a1, a2, c1, c2) order after the swap for sites 1 and 2, and the
+# matching index grids of their covariance blocks
+_AC = np.array([0, 1, 4, 5])
+_SITE_ROWS = (_AC, _AC + 2)
+_AC_GRID = np.ix_(_AC, _AC)
+_SITE_GRIDS = tuple(np.ix_(rows, rows) for rows in _SITE_ROWS)
+
 
 class SingularBellBlockError(ValueError):
     """B1 + Z B2 Z is numerically singular; the protocol degenerates."""
@@ -47,7 +61,8 @@ class TripartiteCM:
     """6x6 CM over (remote a, Bell b, certifying c), stored as 2x2 blocks.
 
     Layout: rows/cols (a, b, c) with upper blocks R=Cov(a,a), D=Cov(a,b),
-    F=Cov(a,c), B=Cov(b,b), E=Cov(b,c), C=Cov(c,c).
+    F=Cov(a,c), B=Cov(b,b), E=Cov(b,c), C=Cov(c,c). The 6x6 is assembled
+    and validated once; matrix() and the blocks are read-only views of it.
     """
 
     R: np.ndarray
@@ -56,36 +71,36 @@ class TripartiteCM:
     B: np.ndarray
     E: np.ndarray
     C: np.ndarray
+    _cm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = {}
-        for name in ("R", "D", "F", "B", "E", "C"):
+        blocks = []
+        for name in _BLOCK_SLICES:
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (2, 2):
                 raise ValueError(f"block {name} must be 2x2, got {m.shape}")
-            m = m.copy()
-            m.setflags(write=False)
-            blocks[name] = m
-            object.__setattr__(self, name, m)
-        # assembling validates symmetry and physicality of the 6x6
-        GaussianState(self.matrix(), np.zeros(6))
+            blocks.append(m)
+        r, d, f, b, e, c = blocks
+        # lower blocks are the transposes by construction, so any asymmetry
+        # in R, B, C surfaces in the GaussianState symmetry check, which
+        # also validates physicality and makes the matrix read-only
+        cm = GaussianState(np.block([[r, d, f], [d.T, b, e], [f.T, e.T, c]]),
+                           np.zeros(6)).cm
+        object.__setattr__(self, "_cm", cm)
+        for name, (rows, cols) in _BLOCK_SLICES.items():
+            object.__setattr__(self, name, cm[rows, cols])
 
     def matrix(self) -> np.ndarray:
-        # lower blocks are the transposes by construction, so any asymmetry
-        # in R, B, C surfaces in the GaussianState symmetry check
-        return np.block([
-            [self.R, self.D, self.F],
-            [self.D.T, self.B, self.E],
-            [self.F.T, self.E.T, self.C],
-        ])
+        """The validated 6x6 (read-only)."""
+        return self._cm
 
     @classmethod
     def from_matrix(cls, cm: np.ndarray) -> "TripartiteCM":
         cm = np.asarray(cm, dtype=float)
         if cm.shape != (6, 6):
             raise ValueError(f"tripartite CM must be 6x6, got {cm.shape}")
-        return cls(R=cm[0:2, 0:2], D=cm[0:2, 2:4], F=cm[0:2, 4:6],
-                   B=cm[2:4, 2:4], E=cm[2:4, 4:6], C=cm[4:6, 4:6])
+        return cls(**{name: cm[rows, cols]
+                      for name, (rows, cols) in _BLOCK_SLICES.items()})
 
 
 @dataclass(frozen=True)
@@ -172,33 +187,42 @@ def _bell_inverse(V1: TripartiteCM, V2: TripartiteCM) -> tuple:
     return m, np.linalg.inv(m)
 
 
+def _bell_terms(V1: TripartiteCM, V2: TripartiteCM) -> tuple:
+    """(P, L, M, W) of the Bell measurement, over (a1, a2, c1, c2).
+
+    P is the 8x8 CM of the unmeasured modes (R, F and C of each site) and
+    L = [D1; -D2 Z; E1^T; -E2^T Z] = -sqrt(2) Cov(., (x_minus, p_plus)) Z
+    their coupling to the measured pair, so conditioning on the outcome is
+    the Schur complement P - L W L^T with W = M^-1, M = B1 + Z B2 Z.
+    """
+    m, w = _bell_inverse(V1, V2)
+    p = np.zeros((8, 8))
+    l = np.empty((8, 2))
+    for rows, grid, V, z in zip(_SITE_ROWS, _SITE_GRIDS, (V1, V2),
+                                (np.eye(2), -Z)):
+        p[grid] = V.matrix()[_AC_GRID]
+        l[rows] = V.matrix()[_AC, 2:4] @ z
+    return p, l, m, w
+
+
 def optimal_gains(V1: TripartiteCM, V2: TripartiteCM) -> GainMatrices:
     """Gains that cancel the conditional means for every Bell outcome.
 
     These reduce to the familiar diagonal expressions (-D/(2b) style) when
     both inputs are in standard form; in general they are full 2x2.
     """
-    _, w = _bell_inverse(V1, V2)
-    return GainMatrices(
-        G_a1=-V1.D @ w,
-        G_a2=V2.D @ Z @ w,
-        G_c1=-V1.E.T @ w,
-        G_c2=V2.E.T @ Z @ w,
-    )
+    _, l, _, w = _bell_terms(V1, V2)
+    g = -l @ w
+    return GainMatrices(g[0:2], g[2:4], g[4:6], g[6:8])
 
 
-def _conditional_mean_map(V1: TripartiteCM, V2: TripartiteCM) -> np.ndarray:
-    """Linear map from the outcome pair to the 8-vector conditional mean."""
-    _, w = _bell_inverse(V1, V2)
-    s2 = np.sqrt(2.0)
-    wz = w @ Z
-    zwz = Z @ wz
-    out = np.zeros((8, 2))
-    out[0:2] = -s2 * V1.D @ wz
-    out[2:4] = s2 * V2.D @ zwz
-    out[4:6] = -s2 * V1.E.T @ wz
-    out[6:8] = s2 * V2.E.T @ zwz
-    return out
+def _displacement_map(V1: TripartiteCM, V2: TripartiteCM,
+                      gains: GainMatrices) -> np.ndarray:
+    """8x2 map from the outcome pair to the gain-displaced conditional mean:
+    the conditional mean -sqrt(2) L W Z plus the displacement -sqrt(2) G Z.
+    """
+    _, l, _, w = _bell_terms(V1, V2)
+    return -np.sqrt(2.0) * (l @ w + gains.stacked()) @ Z
 
 
 def displaced_first_moment(V1: TripartiteCM, V2: TripartiteCM,
@@ -211,42 +235,22 @@ def displaced_first_moment(V1: TripartiteCM, V2: TripartiteCM,
     [0, 3, 1, 2] at the mode level. Each mode's displacement is
     -sqrt(2) G Z beta, so the result is identically zero at optimal gains.
     """
-    u = outcome.beta
-    mean = _conditional_mean_map(V1, V2) @ u
-    s2 = np.sqrt(2.0)
-    for k, g in enumerate((gains.G_a1, gains.G_a2, gains.G_c1, gains.G_c2)):
-        mean[2 * k:2 * k + 2] += -s2 * g @ Z @ u
-    return mean
+    return _displacement_map(V1, V2, gains) @ outcome.beta
 
 
 def conditional_output_cm(V1: TripartiteCM, V2: TripartiteCM) -> SwapOutput:
     """Post-measurement CM over (a1, a2, c1, c2), outcome independent."""
-    _, w = _bell_inverse(V1, V2)
-    zwz = Z @ w @ Z
-    wz = w @ Z
-    zw = Z @ w
-    d1, d2, e1t, e2t = V1.D, V2.D, V1.E.T, V2.E.T
-    v_r = np.block([
-        [V1.R - d1 @ w @ d1.T, d1 @ wz @ d2.T],
-        [d2 @ zw @ d1.T, V2.R - d2 @ zwz @ d2.T],
-    ])
-    v_c = np.block([
-        [V1.C - e1t @ w @ e1t.T, e1t @ wz @ e2t.T],
-        [e2t @ zw @ e1t.T, V2.C - e2t @ zwz @ e2t.T],
-    ])
-    v_x = np.block([
-        [V1.F - d1 @ w @ e1t.T, d1 @ wz @ e2t.T],
-        [d2 @ zw @ e1t.T, V2.F - d2 @ zwz @ e2t.T],
-    ])
-    cm = np.block([[v_r, v_x], [v_x.T, v_c]])
+    p, l, _, w = _bell_terms(V1, V2)
+    cm = p - l @ w @ l.T
     cm = 0.5 * (cm + cm.T)
     # construction doubles as the physicality check on the output
     GaussianState(cm, np.zeros(8))
+    v_r, v_c = cm[0:4, 0:4], cm[4:8, 4:8]
     split = Bipartition((0,), (1,))
     eta_r = gaussian.min_pts_eigenvalue(v_r, split)
     eta_c = gaussian.min_pts_eigenvalue(v_c, split)
     return SwapOutput(
-        V_R=v_r, V_C=v_c, V_X=v_x, cm=cm,
+        V_R=v_r, V_C=v_c, V_X=cm[0:4, 4:8], cm=cm,
         eta_remote=eta_r, eta_certifying=eta_c,
         E_N_remote=max(0.0, -np.log(2.0 * eta_r)),
         E_N_certifying=max(0.0, -np.log(2.0 * eta_c)),
@@ -261,21 +265,11 @@ def ensemble_output_blocks(V1: TripartiteCM, V2: TripartiteCM,
     distribution adds the covariance of the residual displacement; the
     result collapses onto the conditional blocks exactly at optimal gains.
     """
-    m, _ = _bell_inverse(V1, V2)
-    g1, g2 = gains.G_a1, gains.G_a2
-    h1, h2 = gains.G_c1, gains.G_c2
-    d1, d2, e1t, e2t = V1.D, V2.D, V1.E.T, V2.E.T
-
-    r11 = V1.R + g1 @ m @ g1.T + g1 @ d1.T + d1 @ g1.T
-    r12 = g1 @ m @ g2.T - g1 @ Z @ d2.T + d1 @ g2.T
-    r22 = V2.R + g2 @ m @ g2.T - g2 @ Z @ d2.T - d2 @ Z @ g2.T
-    vp_r = np.block([[r11, r12], [r12.T, r22]])
-
-    c11 = V1.C + h1 @ m @ h1.T + h1 @ e1t.T + e1t @ h1.T
-    c12 = h1 @ m @ h2.T - h1 @ Z @ e2t.T + e1t @ h2.T
-    c22 = V2.C + h2 @ m @ h2.T - h2 @ Z @ e2t.T - e2t @ Z @ h2.T
-    vp_c = np.block([[c11, c12], [c12.T, c22]])
-    return 0.5 * (vp_r + vp_r.T), 0.5 * (vp_c + vp_c.T)
+    p, l, m, _ = _bell_terms(V1, V2)
+    g = gains.stacked()
+    cm = p + g @ m @ g.T + g @ l.T + l @ g.T
+    cm = 0.5 * (cm + cm.T)
+    return cm[0:4, 0:4], cm[4:8, 4:8]
 
 
 def bell_outcome_covariance(V1: TripartiteCM, V2: TripartiteCM) -> np.ndarray:
@@ -317,14 +311,9 @@ def monte_carlo_ensemble(V1: TripartiteCM, V2: TripartiteCM,
     cov = bell_outcome_covariance(V1, V2)
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
-    lmap = _conditional_mean_map(V1, V2)
-    s2 = np.sqrt(2.0)
-    gz = np.zeros((8, 2))
-    for k, g in enumerate((gains.G_a1, gains.G_a2, gains.G_c1, gains.G_c2)):
-        gz[2 * k:2 * k + 2] = -s2 * g @ Z
-    total = lmap + gz                       # outcome -> displaced mean
+    total = _displacement_map(V1, V2, gains)  # outcome -> displaced mean
     draws = rng.standard_normal((n, 2)) @ chol.T
-    means = draws @ total.T                 # (n, 8)
+    means = draws @ total.T                   # (n, 8)
     centered = means - means.mean(axis=0)
     emp = centered.T @ centered / n
     base = conditional_output_cm(V1, V2).cm
@@ -390,12 +379,11 @@ def chi(V: TripartiteCM) -> float:
 
 
 def purities_triplet(V: TripartiteCM) -> tuple:
-    """(mu_B, mu_RB, mu_BC) of the Bell mode and the two pair subsystems."""
-    state = GaussianState(V.matrix(), np.zeros(6))
-    mu_b = gaussian.purity(state, [1])
-    mu_rb = gaussian.purity(state, [0, 1])
-    mu_bc = gaussian.purity(state, [1, 2])
-    return mu_b, mu_rb, mu_bc
+    """(mu_B, mu_RB, mu_BC) of the Bell mode and the two pair subsystems,
+    mu = 1 / (2^n sqrt(det)) of each principal block of the CM."""
+    full = V.matrix()
+    return tuple(1.0 / (2.0 ** (len(blk) // 2) * np.sqrt(np.linalg.det(blk)))
+                 for blk in (full[2:4, 2:4], full[0:4, 0:4], full[2:6, 2:6]))
 
 
 def _strictly_greater(a: float, b: float) -> bool:

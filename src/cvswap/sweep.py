@@ -191,8 +191,7 @@ def run_point(params: OptomechParams, rtol: float = optomech.DEFAULT_RTOL,
 
 
 def _eval_grid_point(task) -> SweepRecord:
-    index, params, names, values, rtol = task
-    del index
+    params, names, values, rtol = task
     return run_point(params, rtol=rtol, axis_names=names, axis_values=values)
 
 
@@ -226,11 +225,10 @@ def run_sweep(spec: SweepSpec, out_path, workers: int = 1,
     values1 = spec.axis1.values()
     values2 = spec.axis2.values()
     tasks = []
-    for i, v1 in enumerate(values1):
-        for j, v2 in enumerate(values2):
+    for v1 in values1:
+        for v2 in values2:
             params = spec.point_params(float(v1), float(v2))
-            tasks.append((i * len(values2) + j, params, names,
-                          (float(v1), float(v2)), rtol))
+            tasks.append((params, names, (float(v1), float(v2)), rtol))
     if workers == 1:
         records = [_eval_grid_point(t) for t in tasks]
     else:

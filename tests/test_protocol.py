@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import cvswap
 from cvswap import gaussian
-from cvswap.gaussian import Bipartition, StateValidationError
+from cvswap.gaussian import Bipartition, GaussianState, StateValidationError
 from cvswap.protocol import (BellOutcome, GainMatrices, NotStandardFormError,
                              ProtocolClass, TripartiteCM,
                              bell_outcome_covariance, bell_outcome_sampler,
@@ -41,6 +47,45 @@ def test_block_roundtrip():
     again = TripartiteCM.from_matrix(v.matrix())
     assert_allclose(again.matrix(), v.matrix(), rtol=0, atol=0)
     assert_allclose(v.matrix()[2:4, 0:2], v.D.T)
+
+
+def test_blocks_are_read_only_views_of_the_matrix():
+    v = random_tripartite(np.random.default_rng(1))
+    full = v.matrix()
+    assert v.matrix() is full
+    assert not full.flags.writeable
+    with pytest.raises(ValueError):
+        full[0, 0] = 9.0
+    for block in (v.R, v.D, v.F, v.B, v.E, v.C):
+        assert np.shares_memory(block, full)
+        assert not block.flags.writeable
+
+
+def test_one_validation_per_state(monkeypatch):
+    # one pass of the library path validates the input once and the swap
+    # output once, not once per helper
+    calls = []
+    validate = GaussianState.__post_init__
+
+    def counting(self):
+        calls.append(self.cm.shape)
+        validate(self)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counting)
+    v = TripartiteCM.from_matrix(random_cm(np.random.default_rng(2), 3))
+    purities_triplet(v)
+    chi(v)
+    conditional_output_cm(v, v)
+    assert calls == [(6, 6), (8, 8)]
+
+
+def test_protocol_import_leaves_scipy_unloaded():
+    src = str(Path(cvswap.__file__).resolve().parents[1])
+    code = "import sys, cvswap.protocol; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_tripartite_rejects_bad_input():
@@ -306,6 +351,16 @@ def test_purity_identities():
         eta_r, eta_c_minus, _ = symmetric_closed_forms(v)
         assert eta_r == pytest.approx(mu_b / (2 * mu_rb), rel=1e-9)
         assert eta_c_minus == pytest.approx(mu_b / (2 * mu_bc), rel=1e-9)
+
+
+def test_purities_match_reduced_states_on_generic_inputs():
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        v = random_tripartite(rng)
+        state = GaussianState(v.matrix(), np.zeros(6))
+        want = [gaussian.purity(gaussian.partial_trace(state, modes))
+                for modes in ([1], [0, 1], [1, 2])]
+        assert_allclose(purities_triplet(v), want, rtol=1e-12, atol=0)
 
 
 def test_chi_fixtures_and_invariance():
