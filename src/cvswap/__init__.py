@@ -1,54 +1,15 @@
-"""Gaussian entanglement swapping with an optomechanical tripartite source."""
+"""Gaussian entanglement swapping with an optomechanical tripartite source.
+
+The top level holds the README's library path; everything else is
+imported from its module (``cvswap.protocol.TripartiteCM``,
+``cvswap.sweep.run_sweep``, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .gaussian import (Bipartition, DegenerateMeasurementError, GaussianState,
-                       StateValidationError, ValidityReport, beam_splitter,
-                       homodyne_condition, log_negativity,
-                       min_physicality_eigenvalue, min_pts_eigenvalue,
-                       partial_trace, partial_transpose, purity, read_matrix,
-                       symplectic_eigenvalues, symplectic_form, thermal_state,
-                       two_mode_squeezed_state, vacuum_state, validate_state,
-                       write_matrix)
-from .optomech import (LinearizedModel, OptomechParams,
-                       QuadratureConvergenceError, StabilityError,
-                       build_drift_matrix, check_stability, diffusion_matrix,
-                       drive_rate, filter_transfer, n_thermal, output_cm,
-                       single_photon_coupling, steady_state)
-from .protocol import (BellOutcome, GainMatrices, MonteCarloEstimate,
-                       NotStandardFormError, ProtocolClass,
-                       SingularBellBlockError, SwapOutput, TripartiteCM,
-                       bell_outcome_covariance, bell_outcome_sampler, chi,
-                       classify, classify_from_purities,
-                       conditional_output_cm, displaced_first_moment,
-                       ensemble_output_blocks, inseparability_bound,
-                       is_standard_form, monte_carlo_ensemble, optimal_gains,
-                       purities_triplet, symmetric_closed_forms)
-from .sweep import (AxisSpec, ConfigError, SweepRecord, SweepSpec,
-                    SweepSummary, dump_state, load_params, load_sweep_spec,
-                    run_point, run_sweep)
+from .optomech import output_cm
+from .protocol import classify, conditional_output_cm
+from .sweep import load_params
 
-__all__ = [
-    "__version__",
-    "Bipartition", "DegenerateMeasurementError", "GaussianState",
-    "StateValidationError", "ValidityReport", "beam_splitter",
-    "homodyne_condition", "log_negativity", "min_physicality_eigenvalue",
-    "min_pts_eigenvalue", "partial_trace", "partial_transpose", "purity",
-    "read_matrix", "symplectic_eigenvalues", "symplectic_form",
-    "thermal_state", "two_mode_squeezed_state", "vacuum_state",
-    "validate_state", "write_matrix",
-    "LinearizedModel", "OptomechParams", "QuadratureConvergenceError",
-    "StabilityError", "build_drift_matrix", "check_stability",
-    "diffusion_matrix", "drive_rate", "filter_transfer", "n_thermal",
-    "output_cm", "single_photon_coupling", "steady_state",
-    "BellOutcome", "GainMatrices", "MonteCarloEstimate",
-    "NotStandardFormError", "ProtocolClass", "SingularBellBlockError",
-    "SwapOutput", "TripartiteCM", "bell_outcome_covariance",
-    "bell_outcome_sampler", "chi", "classify", "classify_from_purities",
-    "conditional_output_cm", "displaced_first_moment",
-    "ensemble_output_blocks", "inseparability_bound", "is_standard_form",
-    "monte_carlo_ensemble", "optimal_gains", "purities_triplet",
-    "symmetric_closed_forms",
-    "AxisSpec", "ConfigError", "SweepRecord", "SweepSpec", "SweepSummary",
-    "dump_state", "load_params", "load_sweep_spec", "run_point", "run_sweep",
-]
+__all__ = ["__version__", "load_params", "output_cm",
+           "conditional_output_cm", "classify"]

@@ -84,8 +84,6 @@ def _run_sweep(args) -> int:
     params = load_params(args.config)
     spec = load_sweep_spec(args.spec, params)
     workers = args.workers if args.workers is not None else _default_workers()
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
     summary = run_sweep(spec, args.out, workers=workers)
     total = len(summary.records)
     counts = " ".join(f"{name}={n}"

@@ -16,6 +16,9 @@ import numpy as np
 PHYSICALITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 
+# largest gap (relative) between the moduli of a +/- eigenvalue pair of iJV
+PAIRING_TOL = 1e-9
+
 # measured quadrature variance below this is a degenerate homodyne
 DEGENERACY_TOL = 1e-14
 
@@ -195,7 +198,7 @@ def partial_transpose(cm: np.ndarray, bipartition: Bipartition) -> np.ndarray:
     return cm * np.outer(p, p)
 
 
-def symplectic_eigenvalues(cm: np.ndarray, pair_tol: float = 1e-9) -> np.ndarray:
+def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Moduli of the +/- conjugate eigenvalue pairs of iJ.cm, sorted ascending."""
     cm = np.asarray(cm, dtype=float)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
@@ -206,7 +209,7 @@ def symplectic_eigenvalues(cm: np.ndarray, pair_tol: float = 1e-9) -> np.ndarray
     paired = mods.reshape(n, 2)
     gap = float(np.max(np.abs(paired[:, 0] - paired[:, 1]))) if n else 0.0
     scale = max(1.0, float(mods[-1])) if n else 1.0
-    if gap > pair_tol * scale:
+    if gap > PAIRING_TOL * scale:
         raise ValueError(f"eigenvalues of iJV fail to pair: gap {gap:.3e}")
     return paired.mean(axis=1)
 

@@ -28,7 +28,8 @@ KB = 1.380649e-23           # J / K
 C_LIGHT = 299792458.0       # m / s
 
 DEFAULT_RTOL = 1e-8
-DEFAULT_ATOL = 1e-12
+# absolute error floor of the scalar integral and of the spectral quadrature
+QUAD_ATOL = 1e-12
 
 # transform-convention regression guard: the complex integrand must satisfy
 # f(-w) = conj(f(w)); the residue is checked against this bound
@@ -282,7 +283,7 @@ def _fastest_rate(params: OptomechParams, model: LinearizedModel) -> float:
 
 
 def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
-              atol: float = DEFAULT_ATOL, window: float | None = None,
+              window: float | None = None,
               quad_limit: int | None = None) -> TripartiteCM:
     """Stationary CM of (mechanical, filtered b output, filtered c output).
 
@@ -314,8 +315,9 @@ def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
     result matches spectral_output_cm.
 
     window is the half-width in units of omega_m (defaults to
-    default_window); rtol, atol and quad_limit control that scalar
-    integral, or the spectral quadrature above the closed form's range.
+    default_window); rtol and quad_limit control that scalar integral, or
+    the spectral quadrature above the closed form's range, to an absolute
+    floor of QUAD_ATOL.
 
     Raises StabilityError for an unstable drift matrix and
     QuadratureConvergenceError when the scalar integral (or, above the
@@ -329,7 +331,7 @@ def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
     w_m = params.omega_m
     theta = HBAR * w_m / (KB * params.T)
     if theta * _fastest_rate(params, model) > CLOSED_FORM_MAX_THETA_RATE:
-        return _spectral_cm(params, model, rtol, atol, window, quad_limit)
+        return _spectral_cm(params, model, rtol, window, quad_limit)
     gam = 1.0 / params.Q_m
     coth0 = 1.0 / math.tanh(0.5 * theta)
     half_width = float(window) if window is not None else default_window(params)
@@ -371,8 +373,8 @@ def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
     if quad_limit is not None:
         kwargs["limit"] = quad_limit
     windowed, err, *_ = quad(excess, 0.0, half_width, epsrel=rtol,
-                             epsabs=atol, full_output=1, **kwargs)
-    target = max(atol, rtol * abs(windowed))
+                             epsabs=QUAD_ATOL, full_output=1, **kwargs)
+    target = max(QUAD_ATOL, rtol * abs(windowed))
     if err > 10.0 * target:
         raise QuadratureConvergenceError(
             f"achieved error estimate {err:.3e} exceeds target {target:.3e}")
@@ -398,10 +400,8 @@ def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
 
 
 def spectral_output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL,
-                       window: float | None = None,
-                       quad_limit: int | None = None) -> TripartiteCM:
-    """Spectral-quadrature oracle for output_cm (same signature and result).
+                       window: float | None = None) -> TripartiteCM:
+    """Spectral-quadrature oracle for output_cm (same result).
 
     Integrates the noise-spectrum matrix against the filter transfer blocks
     over a symmetric frequency window. The flat optical floor (which alone
@@ -410,18 +410,18 @@ def spectral_output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
     decays fast and the window truncation error sits far below rtol.
 
     window is the half-width in units of omega_m (defaults to
-    default_window); quad_limit caps the number of adaptive subdivisions.
+    default_window); rtol is the relative target, with an absolute floor
+    of QUAD_ATOL.
 
     Raises StabilityError for an unstable drift matrix and
     QuadratureConvergenceError when the integral cannot reach its target or
     the integrand breaks its conjugate symmetry (transform-convention guard).
     """
-    return _spectral_cm(params, _stable_model(params), rtol, atol, window,
-                        quad_limit)
+    return _spectral_cm(params, _stable_model(params), rtol, window, None)
 
 
 def _spectral_cm(params: OptomechParams, model: LinearizedModel, rtol: float,
-                 atol: float, window: float | None,
+                 window: float | None,
                  quad_limit: int | None) -> TripartiteCM:
     # scipy loads here, not at import, so the protocol layer runs without it
     from scipy.integrate import quad_vec
@@ -470,10 +470,10 @@ def _spectral_cm(params: OptomechParams, model: LinearizedModel, rtol: float,
     kwargs = {}
     if quad_limit is not None:
         kwargs["limit"] = quad_limit
-    res, err = quad_vec(integrand, 0.0, half_width, epsrel=rtol, epsabs=atol,
-                        points=breakpoints, norm="max", quadrature="gk21",
-                        **kwargs)
-    target = max(atol, rtol * float(np.max(np.abs(res))))
+    res, err = quad_vec(integrand, 0.0, half_width, epsrel=rtol,
+                        epsabs=QUAD_ATOL, points=breakpoints, norm="max",
+                        quadrature="gk21", **kwargs)
+    target = max(QUAD_ATOL, rtol * float(np.max(np.abs(res))))
     if err > 10.0 * target:
         raise QuadratureConvergenceError(
             f"achieved error estimate {err:.3e} exceeds target {target:.3e}")

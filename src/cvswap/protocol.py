@@ -33,6 +33,9 @@ STANDARD_FORM_TOL = 1e-9
 # strict-inequality slack for the purity classifier (relative)
 CLASSIFY_REL_TOL = 1e-9
 
+# Bell outcomes drawn per batch by bell_outcome_sampler
+SAMPLER_CHUNK = 8192
+
 # quadratures of the a, b and c modes, and the rows and columns of each
 # upper block of the 6x6
 _A, _B, _C = slice(0, 2), slice(2, 4), slice(4, 6)
@@ -278,14 +281,13 @@ def bell_outcome_covariance(V1: TripartiteCM, V2: TripartiteCM) -> np.ndarray:
     return Z @ m @ Z / 2.0
 
 
-def bell_outcome_sampler(V1: TripartiteCM, V2: TripartiteCM, seed,
-                         chunk: int = 8192):
+def bell_outcome_sampler(V1: TripartiteCM, V2: TripartiteCM, seed):
     """Endless deterministic stream of Bell outcomes for the given inputs."""
     cov = bell_outcome_covariance(V1, V2)
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
     while True:
-        draws = rng.standard_normal((chunk, 2)) @ chol.T
+        draws = rng.standard_normal((SAMPLER_CHUNK, 2)) @ chol.T
         for row in draws:
             yield BellOutcome(row)
 
@@ -321,7 +323,7 @@ def monte_carlo_ensemble(V1: TripartiteCM, V2: TripartiteCM,
                               stderr_scale=5.0 / np.sqrt(n))
 
 
-def is_standard_form(V: TripartiteCM, tol: float = STANDARD_FORM_TOL) -> bool:
+def is_standard_form(V: TripartiteCM) -> bool:
     """Zero-pattern predicate: diagonal blocks proportional to identity,
     D diagonal, E upper triangular. (The a-c block F is unconstrained.)
     """
@@ -334,7 +336,7 @@ def is_standard_form(V: TripartiteCM, tol: float = STANDARD_FORM_TOL) -> bool:
     devs.append(abs(V.D[0, 1]))
     devs.append(abs(V.D[1, 0]))
     devs.append(abs(V.E[1, 0]))
-    return max(devs) <= tol * scale
+    return max(devs) <= STANDARD_FORM_TOL * scale
 
 
 def symmetric_closed_forms(V: TripartiteCM) -> tuple:

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import optomech
 from .gaussian import StateValidationError, write_matrix
 from .optomech import (OptomechParams, QuadratureConvergenceError,
                        StabilityError, output_cm)
@@ -60,6 +59,8 @@ class AxisSpec:
                 f"axis must be one of {AXIS_NAMES}, got {self.name!r}")
         if self.points < 2:
             raise ConfigError(f"axis {self.name}: points must be >= 2")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(f"axis {self.name}: range must be finite")
         if not self.start < self.stop:
             raise ConfigError(f"axis {self.name}: need min < max")
         floor = 0.0 if self.name == "P_b" else None
@@ -91,6 +92,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis1.name == self.axis2.name:
             raise ConfigError("axis1 and axis2 must differ")
+        for name in ("tau_ratio", "power_offset"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.tau_ratio is not None and not self.tau_ratio > 0.0:
             raise ConfigError("tau_ratio must be positive")
 
@@ -162,8 +167,8 @@ def _flagged_record(axis_names, axis_values, stable) -> SweepRecord:
                        mu_BC=nan, chi=nan)
 
 
-def run_point(params: OptomechParams, rtol: float = optomech.DEFAULT_RTOL,
-              axis_names: tuple = (), axis_values: tuple = ()) -> SweepRecord:
+def run_point(params: OptomechParams, axis_names: tuple = (),
+              axis_values: tuple = ()) -> SweepRecord:
     """Evaluate the full pipeline at one parameter point.
 
     Never raises for physics-level failures: an unstable drift matrix, a
@@ -172,7 +177,7 @@ def run_point(params: OptomechParams, rtol: float = optomech.DEFAULT_RTOL,
     grid. Any other error propagates.
     """
     try:
-        cm = output_cm(params, rtol=rtol)
+        cm = output_cm(params)
         mu_b, mu_rb, mu_bc = purities_triplet(cm)
         klass = classify_from_purities(mu_b, mu_rb, mu_bc)
         ratio = chi(cm)
@@ -190,11 +195,6 @@ def run_point(params: OptomechParams, rtol: float = optomech.DEFAULT_RTOL,
                        mu_B=mu_b, mu_RB=mu_rb, mu_BC=mu_bc, chi=ratio)
 
 
-def _eval_grid_point(task) -> SweepRecord:
-    params, names, values, rtol = task
-    return run_point(params, rtol=rtol, axis_names=names, axis_values=values)
-
-
 @dataclass(frozen=True)
 class SweepSummary:
     """Outcome of a sweep: records in row order plus aggregate counts."""
@@ -209,8 +209,7 @@ def csv_header(spec: SweepSpec) -> str:
     return ",".join((spec.axis1.name, spec.axis2.name) + CSV_FIELDS)
 
 
-def run_sweep(spec: SweepSpec, out_path, workers: int = 1,
-              rtol: float = optomech.DEFAULT_RTOL) -> SweepSummary:
+def run_sweep(spec: SweepSpec, out_path, workers: int = 1) -> SweepSummary:
     """Evaluate the grid and write the CSV plus plot surfaces.
 
     Row order is axis1-major and byte-identical for any worker count:
@@ -228,12 +227,12 @@ def run_sweep(spec: SweepSpec, out_path, workers: int = 1,
     for v1 in values1:
         for v2 in values2:
             params = spec.point_params(float(v1), float(v2))
-            tasks.append((params, names, (float(v1), float(v2)), rtol))
+            tasks.append((params, names, (float(v1), float(v2))))
     if workers == 1:
-        records = [_eval_grid_point(t) for t in tasks]
+        records = [run_point(*t) for t in tasks]
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
-            records = pool.map(_eval_grid_point, tasks, chunksize=4)
+        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+            records = pool.starmap(run_point, tasks, chunksize=4)
 
     lines = [csv_header(spec)]
     lines += [",".join(rec.csv_row()) for rec in records]

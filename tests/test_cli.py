@@ -145,3 +145,22 @@ def test_sweep_unwritable_output_exit_2(tmp_path):
     write_spec(spec)
     assert main(["sweep", "--config", str(cfg), "--spec", str(spec),
                  "--out", str(tmp_path / "nodir" / "o.csv")]) == 2
+
+@pytest.mark.parametrize("override, extra_args", [
+    ({"axis1_max": "inf"}, []),
+    ({"tau_ratio": "inf"}, []),
+    ({"power_offset": "nan"}, []),
+    ({}, ["--workers", "0"]),
+], ids=["axis1_max_inf", "tau_ratio_inf", "power_offset_nan", "workers_0"])
+def test_sweep_bad_values_exit_2(tmp_path, capsys, override, extra_args):
+    cfg = tmp_path / "p.cfg"
+    write_cfg(cfg, BASE)
+    spec = tmp_path / "s.cfg"
+    write_spec(spec)
+    entries = dict(line.split(" = ") for line in spec.read_text().splitlines())
+    entries.update(override)
+    spec.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()),
+                    encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--spec", str(spec),
+                 "--out", str(tmp_path / "o.csv")] + extra_args) == 2
+    assert "error:" in capsys.readouterr().err

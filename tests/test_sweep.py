@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -267,6 +268,32 @@ def test_record_self_consistency_from_csv(tmp_path):
                                        float(cells[5 + 2]),
                                        float(cells[6 + 2]))
         assert klass.name == cells[3]
+
+
+def test_pool_never_exceeds_grid_points(tmp_path, monkeypatch):
+    seen = []
+
+    class FakePool:
+        def __init__(self, processes):
+            seen.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, tasks, chunksize=1):
+            return [func(*t) for t in tasks]
+
+    out1 = tmp_path / "w1.csv"
+    out64 = tmp_path / "w64.csv"
+    run_sweep(tiny_spec(), out1, workers=1)
+    monkeypatch.setattr(sweep, "multiprocessing",
+                        types.SimpleNamespace(Pool=FakePool))
+    run_sweep(tiny_spec(), out64, workers=64)
+    assert seen == [4]
+    assert out64.read_bytes() == out1.read_bytes()
 
 
 def test_run_sweep_rejects_bad_workers_and_path(tmp_path):
