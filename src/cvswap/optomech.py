@@ -16,6 +16,7 @@ conditioning.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,8 @@ C_LIGHT = 299792458.0       # m / s
 DEFAULT_RTOL = 1e-8
 # absolute error floor of the scalar integral and of the spectral quadrature
 QUAD_ATOL = 1e-12
+# default cap on the number of Gauss-Legendre panels of the scalar integral
+PANEL_LIMIT = 50
 
 # transform-convention regression guard: the complex integrand must satisfy
 # f(-w) = conj(f(w)); the residue is checked against this bound
@@ -204,12 +207,14 @@ def n_thermal(params: OptomechParams) -> float:
     return 1.0 / np.expm1(HBAR * params.omega_m / (KB * params.T))
 
 
-def _x_coth(x: float, theta: float) -> float:
-    """x * coth(theta x / 2), series-stabilized through x = 0 (limit 2/theta)."""
+def _x_coth(x, theta: float):
+    """x * coth(theta x / 2) elementwise, series-stabilized through x = 0
+    (limit 2/theta)."""
+    x = np.asarray(x, dtype=float)
     a = 0.5 * theta * x
-    if abs(a) < 1e-4:
-        return (2.0 / theta) * (1.0 + a * a / 3.0)
-    return x / math.tanh(a)
+    small = np.abs(a) < 1e-4
+    return np.where(small, (2.0 / theta) * (1.0 + a * a / 3.0),
+                    x / np.tanh(np.where(small, 1.0, a)))
 
 
 def diffusion_matrix(omega: float, params: OptomechParams) -> np.ndarray:
@@ -282,6 +287,108 @@ def _fastest_rate(params: OptomechParams, model: LinearizedModel) -> float:
     return max(1.0, max(rates) / params.omega_m)
 
 
+def _extended_drift(params: OptomechParams,
+                    model: LinearizedModel) -> np.ndarray:
+    """10x10 drift A = [[K, 0], [C, R]] over (q, p, x_b, y_b, x_c, y_c, f_b,
+    f_c) in units of omega_m. Each filter pair obeys
+    df/dt = R f + sqrt(2/tau) a_out with a_out = sqrt(2 kappa) a - a_in."""
+    w_m = params.omega_m
+    a = np.zeros((10, 10))
+    a[:6, :6] = model.K / w_m
+    for k, branch in enumerate("bc"):
+        _, _, kappa, _, center, tau = params.branch(branch)
+        kappa, center, tau = kappa / w_m, center / w_m, tau * w_m
+        cav = slice(2 + 2 * k, 4 + 2 * k)
+        filt = slice(6 + 2 * k, 8 + 2 * k)
+        a[filt, filt] = [[-1.0 / tau, center], [-center, -1.0 / tau]]
+        a[filt, cav] = np.sqrt(2.0 / tau) * np.sqrt(2.0 * kappa) * np.eye(2)
+    return a
+
+
+# every filter block -(1/tau) I + Omega J is normal, with the unitary
+# eigenvectors (1, +i)/sqrt(2) and (1, -i)/sqrt(2) (eigenvalues
+# -1/tau +- i Omega), so the two blocks share one fixed eigenbasis
+_FILTER_BASIS = np.kron(np.eye(2),
+                        np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0))
+
+
+def _lyapunov(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """U with A U + U A^T + S = 0 for symmetric S and an extended drift
+    A = [[K, 0], [C, R]] (see _extended_drift).
+
+    A is block lower triangular, so the solve splits (Bartels & Stewart):
+    the 6x6 system block is one Kronecker solve, and the 4x6 cross block
+    and the 4x4 filter block are diagonal in the filters' eigenbasis.
+    K is never eigendecomposed; its eigenvectors can be ill-conditioned.
+    """
+    k, c = a[:6, :6], a[6:, :6]
+    lam = np.array([a[6, 6] + 1j * a[6, 7], a[6, 6] - 1j * a[6, 7],
+                    a[8, 8] + 1j * a[8, 9], a[8, 8] - 1j * a[8, 9]])
+    q = _FILTER_BASIS
+    eye = np.eye(6)
+    # K U11 + U11 K^T = -S11; k4 is kron(K, I) as a 6x6x6x6 array and
+    # its index swap kron(I, K)
+    k4 = k[:, None, :, None] * eye[None, :, None, :]
+    u11 = np.linalg.solve((k4 + k4.transpose(1, 0, 3, 2)).reshape(36, 36),
+                          -s[:6, :6].ravel()).reshape(6, 6)
+    # R U21 + U21 K^T = -(S21 + C U11); row i of Q^H U21 solves
+    # (K + lam_i) y_i = -g_i
+    g = q.conj().T @ (s[6:, :6] + c @ u11)
+    y = np.linalg.solve(k + lam[:, None, None] * eye, -g[:, :, None])
+    u21 = (q @ y[:, :, 0]).real
+    # R U22 + U22 R^T = -H, with R^T = conj(Q) Lam Q^T
+    h = s[6:, 6:] + c @ u21.T + u21 @ c.T
+    z = -(q.conj().T @ h @ q.conj()) / (lam[:, None] + lam[None, :])
+    u22 = (q @ z @ q.T).real
+    return np.block([[u11, u21.T], [u21, u22]])
+
+
+@functools.cache
+def _gauss_rules() -> tuple:
+    """Gauss-Legendre rules of the scalar integral: the 20-node sum is the
+    value and its distance from the 10-node sum the error estimate. Returns
+    both rules' nodes as one concatenated set, then each rule's weights.
+    numpy.polynomial loads on first use, so importing cvswap stays cheap."""
+    from numpy.polynomial.legendre import leggauss
+
+    fine, coarse = leggauss(20), leggauss(10)
+    return np.concatenate([fine[0], coarse[0]]), fine[1], coarse[1]
+
+
+def _excess_integral(gam: float, theta: float, half_width: float,
+                     rtol: float, panel_limit: int) -> float:
+    """(1/pi) times the integral over [0, half_width] of the Brownian excess
+    gam (w coth(theta w / 2) - coth(theta / 2)) against 1/(1 + w^2).
+
+    Composite Gauss-Legendre on at most panel_limit geometric panels
+    [0, 1], [1, 4], ..., [., half_width]. Raises QuadratureConvergenceError
+    when the error estimate exceeds ten times max(QUAD_ATOL, rtol |value|).
+    """
+    coth0 = 1.0 / math.tanh(0.5 * theta)
+    edges = [0.0]
+    edge = 1.0
+    while edge < half_width and len(edges) < panel_limit:
+        edges.append(edge)
+        edge *= 4.0
+    edges = np.array(edges + [half_width])
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+
+    def excess(w: np.ndarray) -> np.ndarray:
+        return gam * (_x_coth(w, theta) - coth0) / (1.0 + w * w) / math.pi
+
+    nodes, w_fine, w_coarse = _gauss_rules()
+    f = half * excess(mid + half * nodes)
+    fine, coarse = f[:, :20] @ w_fine, f[:, 20:] @ w_coarse
+    value = float(np.sum(fine))
+    err = float(np.sum(np.abs(fine - coarse)))
+    target = max(QUAD_ATOL, rtol * abs(value))
+    if err > 10.0 * target:
+        raise QuadratureConvergenceError(
+            f"achieved error estimate {err:.3e} exceeds target {target:.3e}")
+    return value
+
+
 def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
               window: float | None = None,
               quad_limit: int | None = None) -> TripartiteCM:
@@ -314,39 +421,28 @@ def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
     closed form from the response's high-frequency expansion, and the
     result matches spectral_output_cm.
 
+    The solve (_lyapunov) and the scalar integral (_excess_integral) use
+    numpy alone; scipy loads only above the closed form's range.
+
     window is the half-width in units of omega_m (defaults to
-    default_window); rtol and quad_limit control that scalar integral, or
-    the spectral quadrature above the closed form's range, to an absolute
-    floor of QUAD_ATOL.
+    default_window). rtol is the scalar integral's relative target, with
+    an absolute floor of QUAD_ATOL, and quad_limit caps its number of
+    Gauss-Legendre panels (PANEL_LIMIT when None). Above the closed form's
+    range both go to the spectral quadrature instead, quad_limit as its
+    subinterval limit.
 
     Raises StabilityError for an unstable drift matrix and
     QuadratureConvergenceError when the scalar integral (or, above the
     closed form's range, the spectral quadrature) misses its target.
     """
-    # scipy loads here, not at import, so the protocol layer runs without it
-    from scipy.integrate import quad
-    from scipy.linalg import solve_continuous_lyapunov
-
     model = _stable_model(params)
-    w_m = params.omega_m
-    theta = HBAR * w_m / (KB * params.T)
+    theta = HBAR * params.omega_m / (KB * params.T)
     if theta * _fastest_rate(params, model) > CLOSED_FORM_MAX_THETA_RATE:
         return _spectral_cm(params, model, rtol, window, quad_limit)
     gam = 1.0 / params.Q_m
     coth0 = 1.0 / math.tanh(0.5 * theta)
     half_width = float(window) if window is not None else default_window(params)
-
-    # (q, p, x_b, y_b, x_c, y_c, f_b, f_c); each filter pair obeys
-    # df/dt = R f + sqrt(2/tau) a_out with a_out = sqrt(2 kappa) a - a_in
-    a = np.zeros((10, 10))
-    a[:6, :6] = model.K / w_m
-    for k, branch in enumerate("bc"):
-        _, _, kappa, _, center, tau = params.branch(branch)
-        kappa, center, tau = kappa / w_m, center / w_m, tau * w_m
-        cav = slice(2 + 2 * k, 4 + 2 * k)
-        filt = slice(6 + 2 * k, 8 + 2 * k)
-        a[filt, filt] = [[-1.0 / tau, center], [-center, -1.0 / tau]]
-        a[filt, cav] = np.sqrt(2.0 / tau) * np.sqrt(2.0 * kappa) * np.eye(2)
+    a = _extended_drift(params, model)
 
     # source of the vacuum-shifted solve: white Brownian noise plus the
     # mechanics-cavity terms of A V_vac + V_vac A^T that the optical
@@ -364,20 +460,10 @@ def output_cm(params: OptomechParams, rtol: float = DEFAULT_RTOL,
     s[:, 1] -= 0.5 * curvature * a2_p
     s[1, :] -= 0.5 * curvature * a2_p
     s[1, 1] -= curvature
-    u = solve_continuous_lyapunov(a, -s)
-
-    def excess(w: float) -> float:
-        return gam * (_x_coth(w, theta) - coth0) / (1.0 + w * w) / math.pi
-
-    kwargs = {}
-    if quad_limit is not None:
-        kwargs["limit"] = quad_limit
-    windowed, err, *_ = quad(excess, 0.0, half_width, epsrel=rtol,
-                             epsabs=QUAD_ATOL, full_output=1, **kwargs)
-    target = max(QUAD_ATOL, rtol * abs(windowed))
-    if err > 10.0 * target:
-        raise QuadratureConvergenceError(
-            f"achieved error estimate {err:.3e} exceeds target {target:.3e}")
+    u = _lyapunov(a, s)
+    windowed = _excess_integral(gam, theta, half_width, rtol,
+                                PANEL_LIMIT if quad_limit is None
+                                else quad_limit)
 
     # momentum variance: the quadratic excess against
     # |m_p|^2 - 1/(1 + w^2) is the solve's part plus curvature; windowed

@@ -217,9 +217,6 @@ def run_sweep(spec: SweepSpec, out_path, workers: int = 1) -> SweepSummary:
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    out_path = Path(out_path)
-    # fail on an unwritable destination before evaluating the grid
-    out_path.write_text("", encoding="utf-8")
     names = (spec.axis1.name, spec.axis2.name)
     values1 = spec.axis1.values()
     values2 = spec.axis2.values()
@@ -228,6 +225,10 @@ def run_sweep(spec: SweepSpec, out_path, workers: int = 1) -> SweepSummary:
         for v2 in values2:
             params = spec.point_params(float(v1), float(v2))
             tasks.append((params, names, (float(v1), float(v2))))
+    out_path = Path(out_path)
+    # fail on an unwritable destination before evaluating the grid, and
+    # only after every task is built, so a rejected spec leaves it alone
+    out_path.write_text("", encoding="utf-8")
     if workers == 1:
         records = [run_point(*t) for t in tasks]
     else:

@@ -12,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.linalg import solve_continuous_lyapunov
 
 from cvswap.gaussian import (Bipartition, log_negativity, min_pts_eigenvalue,
                              two_mode_squeezed_state, vacuum_state)
 from cvswap.optomech import (CLOSED_FORM_MAX_THETA_RATE, DEFAULT_RTOL, HBAR,
-                             KB, _fastest_rate, build_drift_matrix,
-                             check_stability, default_window, n_thermal,
-                             output_cm, spectral_output_cm, steady_state)
+                             KB, _extended_drift, _fastest_rate, _lyapunov,
+                             build_drift_matrix, check_stability,
+                             default_window, n_thermal, output_cm,
+                             spectral_output_cm, steady_state)
 from cvswap.protocol import (BellOutcome, GainMatrices, ProtocolClass, chi,
                              conditional_output_cm, displaced_first_moment,
                              ensemble_output_blocks, is_standard_form,
@@ -259,6 +261,28 @@ def test_lyapunov_matches_spectral_oracle():
             spectral_output_cm(params).matrix(), output_cm(params).matrix()))
     print(f"worst relative entry deviation {worst:.3e}")
     assert worst <= 1e-10
+
+
+def test_block_lyapunov_matches_scipy():
+    """The numpy block solve of output_cm agrees with scipy's
+    Bartels-Stewart solver to 1e-11 relative (entries scaled by
+    sqrt(U_ii U_jj)) on the extended drift at the stratified subsample and
+    at a point just inside the stability edge of the power grid, under a
+    seeded positive-definite source."""
+    power_base = load_params(CONFIGS / "power_tau_point.cfg")
+    points = stratified_points() + [
+        dataclasses.replace(power_base, P_b=2.448e-3, P_c=2.5e-3)]
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for params in points:
+        a = _extended_drift(params, steady_state(params))
+        m = rng.standard_normal((10, 10))
+        s = m @ m.T
+        # scaled by the diagonal of scipy's solution
+        worst = max(worst, worst_scaled_change(
+            _lyapunov(a, s), solve_continuous_lyapunov(a, -s)))
+    print(f"worst relative entry deviation {worst:.3e}")
+    assert worst <= 1e-11
 
 
 def at_theta_rate(params, theta_rate):

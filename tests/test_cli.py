@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from cvswap.sweep import format_float, run_point, surface_matrix_path
 from support import OMEGA_M, drive_params
 
 BASE = drive_params()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_cfg(path, params):
@@ -145,6 +151,48 @@ def test_sweep_unwritable_output_exit_2(tmp_path):
     write_spec(spec)
     assert main(["sweep", "--config", str(cfg), "--spec", str(spec),
                  "--out", str(tmp_path / "nodir" / "o.csv")]) == 2
+
+
+def test_rejected_spec_leaves_existing_output_alone(tmp_path, capsys):
+    # P_c = P_b - 1 mW is negative at the P_b = 0 grid row
+    cfg = tmp_path / "p.cfg"
+    write_cfg(cfg, BASE)
+    spec = tmp_path / "s.cfg"
+    spec.write_text(
+        f"axis1 = P_b\naxis1_min = 0\naxis1_max = 0.004\naxis1_points = 2\n"
+        f"axis2 = tau_b\naxis2_min = {6.0 / OMEGA_M}\n"
+        f"axis2_max = {10.0 / OMEGA_M}\naxis2_points = 2\n"
+        f"power_offset = -0.001\n", encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    out.write_text("old content", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--spec", str(spec),
+                 "--out", str(out)]) == 2
+    assert "power_offset drives P_c negative" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "old content"
+
+
+def test_point_and_sweep_leave_scipy_unloaded(tmp_path):
+    # a fresh interpreter: the closed-form path of output_cm is numpy-only
+    code = textwrap.dedent(f"""
+        import dataclasses, sys
+        from cvswap.cli import main
+        from cvswap.sweep import load_params, load_sweep_spec, run_sweep
+        assert main(["point", "--config", "configs/kappa_tau_point.cfg",
+                     "--dump", {str(tmp_path / "dump")!r}]) == 0
+        spec = load_sweep_spec("configs/kappa_tau_sweep.cfg",
+                               load_params("configs/kappa_tau_point.cfg"))
+        spec = dataclasses.replace(
+            spec, axis1=dataclasses.replace(spec.axis1, points=2),
+            axis2=dataclasses.replace(spec.axis2, points=2))
+        summary = run_sweep(spec, {str(tmp_path / "grid.csv")!r})
+        assert len(summary.records) == 4 and summary.n_flagged == 0
+        print("scipy" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.splitlines()[-1] == "False"
+
 
 @pytest.mark.parametrize("override, extra_args", [
     ({"axis1_max": "inf"}, []),

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from cvswap import gaussian
-from cvswap.optomech import (HBAR, KB, LinearizedModel, OptomechParams,
+from cvswap.optomech import (DEFAULT_RTOL, HBAR, KB, PANEL_LIMIT,
+                             LinearizedModel, OptomechParams,
                              QuadratureConvergenceError, StabilityError,
-                             build_drift_matrix, check_stability,
-                             default_window, diffusion_matrix, drive_rate,
-                             filter_fourier, filter_transfer, n_thermal,
-                             output_cm, single_photon_coupling, steady_state)
+                             _excess_integral, build_drift_matrix,
+                             check_stability, default_window,
+                             diffusion_matrix, drive_rate, filter_fourier,
+                             filter_transfer, n_thermal, output_cm,
+                             single_photon_coupling, steady_state)
 from support import OMEGA_M, drive_params
 
 # frozen pipeline fixtures, computed once from the defining formulas with
@@ -245,6 +249,33 @@ def test_unstable_params_raise():
 def test_starved_quadrature_budget_raises():
     with pytest.raises(QuadratureConvergenceError):
         output_cm(drive_params(), quad_limit=1)
+
+
+def test_excess_integral_matches_quad():
+    """The Gauss-Legendre Brownian-excess integral of output_cm agrees with
+    scipy's adaptive quad at epsrel 1e-12 to 1e-10 relative, from a hot
+    bath to the closed form's theta limit, at the default window and twice
+    it, for a high and a low mechanical Q."""
+    worst = 0.0
+    for temperature, q_m in itertools.product((4.0, 0.4, 0.048),
+                                              (1e5, 2.0)):
+        p = dataclasses.replace(drive_params(), T=temperature, Q_m=q_m)
+        gam = 1.0 / q_m
+        theta = HBAR * p.omega_m / (KB * p.T)
+
+        def excess(w):
+            coth_excess = (w / math.tanh(0.5 * theta * w)
+                           - 1.0 / math.tanh(0.5 * theta))
+            return gam * coth_excess / (1.0 + w * w) / math.pi
+
+        for half_width in (default_window(p), 2.0 * default_window(p)):
+            expected = quad(excess, 0.0, half_width, epsrel=1e-12,
+                            epsabs=0.0, limit=200)[0]
+            got = _excess_integral(gam, theta, half_width, DEFAULT_RTOL,
+                                   PANEL_LIMIT)
+            worst = max(worst, abs(got - expected) / abs(expected))
+    print(f"worst relative deviation {worst:.3e}")
+    assert worst <= 1e-10
 
 
 def test_window_override_and_default():
